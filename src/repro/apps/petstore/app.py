@@ -132,6 +132,7 @@ def build_application(level: PatternLevel, catalog=None) -> ApplicationDescripto
     app.add(_stateless("SignOnFacade", facades.SignOnFacadeBean))
     app.add(_stateless("CustomerFacade", facades.CustomerFacadeBean))
     app.add(_stateless("OrderFacade", facades.OrderFacadeBean))
+    app.add_sequence(facades.ORDER_IDS, 100_000)
     app.add(_stateful("ShoppingCart", sessions.ShoppingCartBean))
     app.add(_stateful("CustomerSession", sessions.CustomerSessionBean))
     app.add(

@@ -13,8 +13,6 @@ transactional entities they wrap.
 
 from __future__ import annotations
 
-import itertools
-
 from ...middleware.ejb import StatelessSessionBean
 
 __all__ = ["CatalogBean", "SignOnFacadeBean", "CustomerFacadeBean", "OrderFacadeBean"]
@@ -23,7 +21,8 @@ Q_PRODUCTS_OF_CATEGORY = "petstore.products_of_category"
 Q_ITEMS_OF_PRODUCT = "petstore.items_of_product"
 Q_SEARCH_ITEMS = "petstore.search_items"
 
-_order_ids = itertools.count(100_000)
+# Id sequence declared by the application descriptor (see app.py).
+ORDER_IDS = "petstore.orders"
 
 
 class CatalogBean(StatelessSessionBean):
@@ -132,7 +131,7 @@ class OrderFacadeBean(StatelessSessionBean):
         lineitem_home = yield from ctx.lookup("LineItem")
 
         total = sum(entry["price"] * entry["quantity"] for entry in cart_items)
-        order_id = next(_order_ids)
+        order_id = ctx.server.application.next_id(ORDER_IDS)
         yield from order_home.call(
             ctx,
             "create",

@@ -182,6 +182,9 @@ def build_application(level: PatternLevel, catalog=None) -> ApplicationDescripto
     app.add(_facade("SB_PutComment", facades.PutCommentBean, edge_from_level=4))
     app.add(_facade("SB_StoreBid", facades.StoreBidBean))
     app.add(_facade("SB_StoreComment", facades.StoreCommentBean))
+    # Run-time bids and comments number from far above the seeded history.
+    app.add_sequence(facades.BID_IDS, 1_000_000)
+    app.add_sequence(facades.COMMENT_IDS, 1_000_000)
 
     # -- queries & push-based edge caches ("caching of all queries involved
     #    in the processing of all requests in our browser and bidder

@@ -10,8 +10,6 @@ store beans never).
 
 from __future__ import annotations
 
-import itertools
-
 from ...middleware.ejb import StatelessSessionBean
 
 __all__ = [
@@ -41,8 +39,9 @@ Q_ITEMS_IN_CATEGORY_REGION = "rubis.items_in_category_region"
 Q_BID_HISTORY = "rubis.bid_history"
 Q_USER_COMMENTS = "rubis.user_comments"
 
-_bid_ids = itertools.count(1_000_000)
-_comment_ids = itertools.count(1_000_000)
+# Id sequences declared by the application descriptor (see app.py).
+BID_IDS = "rubis.bids"
+COMMENT_IDS = "rubis.comments"
 
 
 class _DelegatingFacade(StatelessSessionBean):
@@ -200,7 +199,7 @@ class StoreBidBean(StatelessSessionBean):
             ctx, "register_bid_increment", increment
         )
         bid_home = yield from ctx.lookup("Bid")
-        bid_id = next(_bid_ids)
+        bid_id = ctx.server.application.next_id(BID_IDS)
         yield from bid_home.call(
             ctx,
             "create",
@@ -222,7 +221,7 @@ class StoreCommentBean(StatelessSessionBean):
 
     def store(self, ctx, from_user, to_user, item_id, rating, text):
         comment_home = yield from ctx.lookup("Comment")
-        comment_id = next(_comment_ids)
+        comment_id = ctx.server.application.next_id(COMMENT_IDS)
         yield from comment_home.call(
             ctx,
             "create",

@@ -104,23 +104,21 @@ class DeployedSystem:
                 loaded += container.preload(table.scan())
         return loaded
 
-    def warm_query_caches(self, params_by_query: Dict[str, list]) -> int:
-        """Preload query caches for the given parameter tuples.
+    def warm_query_caches(self, rows_by_query: Dict[str, list]) -> int:
+        """Preload query caches with precomputed result rows.
 
-        Executes each query once against the (pure) engine and installs
-        the rows on every server with an active cache; returns the number
-        of cache entries installed.  Like :meth:`warm_replicas`, this
-        stands in for warm-up traffic excluded from measurement.
+        ``rows_by_query`` maps a query id to ``(params, rows)`` pairs:
+        the app's warm-up queries, run once against the pure engine
+        before deployment (see
+        :meth:`~repro.experiments.runner.DataTemplate.build`).  The rows
+        are installed on every server with an active cache (each cache
+        copies them); returns the number of cache entries installed.
+        Like :meth:`warm_replicas`, this stands in for warm-up traffic
+        excluded from measurement.
         """
         installed = 0
-        database = self.db_server.database
-        for query_id, params_list in params_by_query.items():
-            sql = self.application.queries.get(query_id)
-            if sql is None:
-                continue
-            for params in params_list:
-                params = tuple(params)
-                rows = [dict(r) for r in database.execute(sql, params).rows]
+        for query_id, results in rows_by_query.items():
+            for params, rows in results:
                 for server in self.servers.values():
                     cache = server.query_cache
                     if cache is not None and cache.handles(query_id):

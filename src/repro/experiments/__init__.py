@@ -10,7 +10,14 @@ from .parallel import (
     run_series_parallel,
 )
 from .progress import ProgressReporter
-from .runner import APPS, AppSpec, ExperimentResult, run_configuration, run_series
+from .runner import (
+    APPS,
+    AppSpec,
+    DataTemplate,
+    ExperimentResult,
+    run_configuration,
+    run_series,
+)
 from .tables import ResponseTimeTable, TableCell, build_table, render_table, table_to_csv
 
 __all__ = [
@@ -21,6 +28,7 @@ __all__ = [
     "figure_to_csv",
     "APPS",
     "AppSpec",
+    "DataTemplate",
     "ExperimentResult",
     "run_configuration",
     "run_series",

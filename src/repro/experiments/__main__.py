@@ -196,11 +196,11 @@ def _run_plan(args, policy, topology) -> int:
         config = spec.testbed_config()
         if topology is not None:
             config = topology.apply(config)
+        # Planning reads only the id catalog, which every level shares.
+        _database, catalog = spec.populate(Streams(args.seed), None)
         for level in levels:
             from ..simnet.topology import build_testbed
 
-            streams = Streams(args.seed)
-            _database, catalog = spec.populate(streams, None)
             env = Environment()
             testbed = build_testbed(env, config)
             resolved = policy

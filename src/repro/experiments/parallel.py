@@ -20,6 +20,10 @@ Determinism rests on two facts: every cell is seeded independently from
 the same master seed (so a cell's observations do not depend on which
 process ran it), and :meth:`ResponseTimeMonitor.to_state` emits cells in
 sorted order (so reconstruction does not depend on arrival order).
+
+Each application's data is built once in the parent as a
+:class:`~repro.experiments.runner.DataTemplate` and handed to every
+worker through the pool initializer; every cell runs on a fork of it.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from ..workload.generator import WorkloadConfig
 from ..workload.openloop import OpenLoopConfig
 from . import calibration
 from .progress import ProgressReporter
+from .runner import DataTemplate, run_configuration
 
 __all__ = [
     "CellTask",
@@ -154,10 +159,23 @@ class CellResult:
         return self.monitor.groups()
 
 
-def _run_cell(task: CellTask) -> CellResult:
-    """Worker entry point: run one cell and serialize the outcome."""
-    from .runner import run_configuration
+# The parent's data templates, installed in each pool worker by
+# :func:`_install_templates` (empty in the parent process).
+_worker_templates: Dict[str, DataTemplate] = {}
 
+
+def _install_templates(templates: Dict[str, DataTemplate]) -> None:
+    """Pool initializer: keep the templates for this worker's cells."""
+    _worker_templates.update(templates)
+
+
+def _run_worker_cell(task: CellTask) -> CellResult:
+    """Pool entry point: run one cell on a fork of its app's template."""
+    return _run_cell(task, _worker_templates[task.app])
+
+
+def _run_cell(task: CellTask, template: DataTemplate) -> CellResult:
+    """Run one cell on a fork of ``template`` and serialize the outcome."""
     result = run_configuration(
         task.app,
         PatternLevel(task.level),
@@ -172,6 +190,7 @@ def _run_cell(task: CellTask) -> CellResult:
         openloop=task.openloop,
         obs_interval_ms=task.obs_interval,
         obs_sample=task.obs_sample,
+        template=template,
     )
     return CellResult.from_experiment(result)
 
@@ -197,6 +216,7 @@ def run_cells(
     ``jobs=None`` uses one worker per CPU; ``jobs=1`` runs the cells in
     the current process (no pool, no pickling overhead) but still
     returns :class:`CellResult`, so downstream output is identical.
+    Each app's data template is built once, here, for every worker.
     The returned dict is keyed in sorted (app, level) order regardless
     of completion order.
     """
@@ -221,16 +241,24 @@ def run_cells(
         )
         for key in keys
     }
+    apps = dict.fromkeys(app for app, _level in tasks)
+    templates = {app: DataTemplate.build(app, seed) for app in apps}
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     results: Dict[Tuple[str, PatternLevel], CellResult] = {}
     if jobs == 1 or len(tasks) <= 1:
         for key, task in tasks.items():
-            results[key] = _run_cell(task)
+            results[key] = _run_cell(task, templates[task.app])
             if progress is not None:
                 progress.cell_done(key[0], key[1], results[key].wall_seconds)
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = {pool.submit(_run_cell, task): key for key, task in tasks.items()}
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)),
+            initializer=_install_templates,
+            initargs=(templates,),
+        ) as pool:
+            futures = {
+                pool.submit(_run_worker_cell, task): key for key, task in tasks.items()
+            }
             for future in as_completed(futures):
                 key = futures[future]
                 results[key] = future.result()

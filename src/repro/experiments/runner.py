@@ -5,6 +5,10 @@ application servers, client population — runs it for the configured
 simulated duration, and returns the response-time monitor plus the
 deployed system for inspection.  ``run_series`` sweeps all five pattern
 levels, which is exactly the data behind Tables 6/7 and Figures 7/8.
+
+Every level of a sweep runs over the same populated database, so
+``run_series`` builds one :class:`DataTemplate` (populate plus warm-up
+queries) and runs each cell on a fork of it.
 """
 
 from __future__ import annotations
@@ -24,15 +28,24 @@ from ..faults.schedule import FaultSchedule
 from ..obs.metrics import MetricsRegistry, collect_cache_stats, collect_system_metrics
 from ..obs.spans import SpanRecorder
 from ..obs.timeseries import TimeSeriesRecorder
+from ..rdbms.engine import Database
 from ..simnet.kernel import Environment
 from ..simnet.monitor import ResponseTimeMonitor, Trace
+from ..simnet.rng import Streams
 from ..simnet.topology import TestbedConfig, TopologyOverrides, build_testbed
 from ..core.usage import WeightedPattern
 from ..workload.generator import LoadGenerator, WorkloadConfig
 from ..workload.openloop import OpenLoopConfig, OpenLoopGenerator, TransitionMatrixPattern
 from . import calibration
 
-__all__ = ["AppSpec", "APPS", "ExperimentResult", "run_configuration", "run_series"]
+__all__ = [
+    "AppSpec",
+    "APPS",
+    "DataTemplate",
+    "ExperimentResult",
+    "run_configuration",
+    "run_series",
+]
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,69 @@ APPS: Dict[str, AppSpec] = {
         },
     ),
 }
+
+
+@dataclass(frozen=True)
+class DataTemplate:
+    """One application's populated and warmed data, built once per sweep.
+
+    :meth:`build` runs the app's ``populate`` once and its warm-up
+    queries once against the result, keeping their rows in
+    ``warm_rows`` (``query_id -> [(params, rows)]``).  Each cell runs
+    on a :meth:`fork`.  The warm-up queries are SELECTs and deployment
+    only reads the database, so a fork holds exactly the state a fresh
+    populate plus warm-up would leave behind.
+    """
+
+    app: str
+    seed: int
+    sizes: Optional[dict]
+    database: Database
+    # The app's identifier catalog; read-only once built, so forks share it.
+    catalog: object
+    # None when built without warm-up (``warm_replicas=False`` runs).
+    warm_rows: Optional[Dict[str, list]]
+
+    @classmethod
+    def build(
+        cls,
+        app: str,
+        seed: int = calibration.MASTER_SEED,
+        sizes: Optional[dict] = None,
+        warm: bool = True,
+    ) -> "DataTemplate":
+        spec = APPS[app]
+        database, catalog = spec.populate(Streams(seed), sizes)
+        warm_rows = None
+        if warm:
+            warm_rows = {}
+            if spec.warm_queries is not None:
+                # The app's named queries are the same at every level.
+                queries = spec.build_application(
+                    PatternLevel.CENTRALIZED, catalog=catalog
+                ).queries
+                for query_id, params_list in spec.warm_queries(catalog).items():
+                    sql = queries.get(query_id)
+                    if sql is None:
+                        continue
+                    warm_rows[query_id] = [
+                        (tuple(params), database.execute(sql, tuple(params)).rows)
+                        for params in params_list
+                    ]
+        return cls(app, seed, sizes, database, catalog, warm_rows)
+
+    def fork(self) -> "DataTemplate":
+        """This template over an independent copy of its database."""
+        return replace(self, database=self.database.fork())
+
+    def check(self, app: str, seed: int, sizes: Optional[dict], warm: bool) -> None:
+        """Raise ValueError unless this template is the data of that run."""
+        built = (self.app, self.seed, self.sizes, self.warm_rows is not None)
+        if built != (app, seed, sizes, warm):
+            raise ValueError(
+                f"template (app, seed, sizes, warm) = {built!r} does not match "
+                f"the run's {(app, seed, sizes, warm)!r}"
+            )
 
 
 @dataclass
@@ -208,6 +284,7 @@ def run_configuration(
     browser_pattern=None,
     obs_interval_ms: Optional[float] = None,
     obs_sample: float = 1.0,
+    template: Optional[DataTemplate] = None,
 ) -> ExperimentResult:
     """Run one (application, configuration) cell of the evaluation.
 
@@ -231,9 +308,12 @@ def run_configuration(
     :mod:`repro.obs.timeseries`).  ``obs_sample`` keeps only that
     deterministic fraction of sessions in the span table (hash of the
     session id, not RNG) so tracing stays bounded at 10^6 sessions.
+
+    ``template`` is a :class:`DataTemplate` of the same (app, seed,
+    sizes) to run on a fork of; without one the cell builds its own and
+    uses it directly.
     """
     from ..middleware.context import reset_ids
-    from ..simnet.rng import Streams
 
     reset_ids()
     spec = APPS[app]
@@ -243,8 +323,13 @@ def run_configuration(
         level = PatternLevel(level)
     workload = workload or calibration.default_workload()
 
+    if template is None:
+        data = DataTemplate.build(app, seed, sizes, warm=warm_replicas)
+    else:
+        template.check(app, seed, sizes, warm_replicas)
+        data = template.fork()
+    database, catalog = data.database, data.catalog
     streams = Streams(seed)
-    database, catalog = spec.populate(streams, sizes)
     env = Environment()
     config = spec.testbed_config()
     if topology is not None:
@@ -283,8 +368,10 @@ def run_configuration(
         # Stand-in for the paper's measurement-excluded warm-up hour:
         # read-only replicas and query caches start hot.
         system.warm_replicas()
-        if spec.warm_queries is not None:
-            system.warm_query_caches(spec.warm_queries(catalog))
+        system.warm_query_caches(data.warm_rows)
+    # The caches hold copies of the stored warm-up rows; a one-cell run
+    # owns its template, so dropping it frees them before the run.
+    del data
     injector = None
     if faults is not None and not faults.empty:
         # An empty schedule installs nothing at all — no kernel events,
@@ -378,7 +465,8 @@ def run_series(
     instead.  Both forms feed ``build_table`` / ``build_figure`` and
     produce byte-identical output for a given seed — cells are seeded
     independently, so results do not depend on who ran them or in what
-    order they finished.
+    order they finished.  Either way the app's data is built once, as a
+    :class:`DataTemplate`, and every cell runs on a fork of it.
 
     ``profile=True`` runs each cell under cProfile and dumps the top-25
     cumulative entries plus a per-subsystem attribution to stderr (see
@@ -418,6 +506,7 @@ def run_series(
                 obs_sample=obs_sample,
             )
     results: Dict[PatternLevel, ExperimentResult] = {}
+    template = DataTemplate.build(app, seed)
     for level in levels:
         if profile:
             from .profile import dump_cell_profile, profile_call
@@ -437,6 +526,7 @@ def run_series(
                 openloop=openloop,
                 obs_interval_ms=obs_interval_ms,
                 obs_sample=obs_sample,
+                template=template,
             )
             dump_cell_profile(f"{app} L{int(level)}", stats, sys.stderr)
         else:
@@ -454,6 +544,7 @@ def run_series(
                 openloop=openloop,
                 obs_interval_ms=obs_interval_ms,
                 obs_sample=obs_sample,
+                template=template,
             )
         results[level] = result
         if progress is not None:

@@ -172,6 +172,10 @@ class ApplicationDescriptor:
     # The subset of queries cached at edges (active from level 4).
     query_caches: Dict[str, QueryCacheDescriptor] = field(default_factory=dict)
     servlets: Dict[str, str] = field(default_factory=dict)  # page name -> component
+    # Id sequences for rows the application creates at run time
+    # (sequence name -> next id).  They live on the descriptor, so every
+    # deployment numbers its rows from the declared start.
+    sequences: Dict[str, int] = field(default_factory=dict)
 
     def add(self, descriptor: ComponentDescriptor) -> ComponentDescriptor:
         if descriptor.name in self.components:
@@ -194,6 +198,17 @@ class ApplicationDescriptor:
             raise DescriptorError(f"duplicate query cache {descriptor.query_id!r}")
         self.queries.setdefault(descriptor.query_id, descriptor.sql)
         self.query_caches[descriptor.query_id] = descriptor
+
+    def add_sequence(self, name: str, start: int) -> None:
+        if name in self.sequences:
+            raise DescriptorError(f"duplicate sequence {name!r}")
+        self.sequences[name] = start
+
+    def next_id(self, sequence: str) -> int:
+        """The next id of ``sequence`` (ids increase by one per call)."""
+        value = self.sequences[sequence]
+        self.sequences[sequence] = value + 1
+        return value
 
     def map_page(self, page: str, servlet_component: str) -> None:
         if servlet_component not in self.components:

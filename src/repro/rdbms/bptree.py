@@ -32,6 +32,15 @@ class _Leaf:
         self.buckets: List[Set[Any]] = []
         self.next: Optional["_Leaf"] = None
 
+    # The sibling link is left out of the pickle (following it would
+    # recurse once per leaf); the owning tree relinks on unpickling.
+    def __getstate__(self):
+        return self.keys, self.buckets
+
+    def __setstate__(self, state):
+        self.keys, self.buckets = state
+        self.next = None
+
 
 class _Branch:
     __slots__ = ("keys", "children")
@@ -155,6 +164,37 @@ class BPlusTree:
         self._root = _Leaf()
         self._distinct = 0
 
+    # -- copying -----------------------------------------------------------
+    def copy(self) -> "BPlusTree":
+        """An independent tree with the same nodes, keys and buckets.
+
+        The node layout is copied as is (underfull leaves included), so
+        the copy has the same height and answers every probe the same
+        way; no bucket or node is shared with the original.
+        """
+        clone = BPlusTree(self.order)
+        clone._root = _copy_node(self._root)
+        clone._distinct = self._distinct
+        clone._link_leaves()
+        return clone
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._link_leaves()
+
+    def _link_leaves(self) -> None:
+        """Rebuild the leaf chain: leaves in left-to-right order."""
+        previous = None
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Branch):
+                stack.extend(reversed(node.children))
+                continue
+            if previous is not None:
+                previous.next = node
+            previous = node
+
     # -- search -----------------------------------------------------------
     def _find(self, key: Any) -> Tuple[_Leaf, Optional[int]]:
         node = self._root
@@ -214,3 +254,12 @@ class BPlusTree:
             if not key.startswith(prefix):
                 return
             yield key, bucket
+
+
+def _copy_node(node: Any) -> Any:
+    if isinstance(node, _Branch):
+        return _Branch(list(node.keys), [_copy_node(child) for child in node.children])
+    leaf = _Leaf()
+    leaf.keys = list(node.keys)
+    leaf.buckets = [set(bucket) for bucket in node.buckets]
+    return leaf

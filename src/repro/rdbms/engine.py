@@ -7,7 +7,6 @@ and :mod:`repro.rdbms.jdbc`.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .compiler import EMPTY_ROW, compiled
@@ -41,12 +40,29 @@ class Database:
         self.rows_scanned_total = 0
         # Per-instance so a fresh Database starts at id 1: transaction
         # ids must not leak across cell runs in one worker process.
-        self._transaction_ids = itertools.count(1)
+        self._last_transaction_id = 0
 
     @property
     def executor(self) -> Executor:
         """The query executor (read-only access to its scan counters)."""
         return self._executor
+
+    def fork(self) -> "Database":
+        """An independent copy of this database, counters included.
+
+        Every table is forked (rows, hash buckets and tree nodes are
+        copied), the executor's scan counters and the statement and
+        transaction counters carry over, and the executor's plan caches
+        start empty.  Writes to the fork never reach this database.
+        """
+        clone = Database(self.name)
+        for name, table in self.tables.items():
+            clone.tables[name] = table.fork()
+        clone._executor = self._executor.fork(clone.tables)
+        clone.statements_executed = self.statements_executed
+        clone.rows_scanned_total = self.rows_scanned_total
+        clone._last_transaction_id = self._last_transaction_id
+        return clone
 
     # -- DDL / loading -----------------------------------------------------
     def create_table(self, schema: TableSchema) -> Table:
@@ -67,8 +83,9 @@ class Database:
 
     # -- transactions -----------------------------------------------------------
     def begin(self, read_only: bool = False) -> Transaction:
+        self._last_transaction_id += 1
         return Transaction(
-            self.tables, read_only=read_only, id=next(self._transaction_ids)
+            self.tables, read_only=read_only, id=self._last_transaction_id
         )
 
     # -- execution -----------------------------------------------------------

@@ -152,6 +152,16 @@ class Executor:
     new plans once full.
     """
 
+    # The access-path evidence counters, carried over by :meth:`fork`.
+    COUNTERS = (
+        "index_scans",
+        "full_scans",
+        "range_scans",
+        "prefix_scans",
+        "join_index_lookups",
+        "join_full_scans",
+    )
+
     def __init__(self, tables: Dict[str, Table]):
         self.tables = tables
         # Access-path evidence, per instance (never module-global: serial
@@ -164,6 +174,9 @@ class Executor:
         self.join_full_scans = 0
         # Benchmark/debug knob: ignore every index candidate and scan.
         self.force_full_scans = False
+        self._new_plan_caches()
+
+    def _new_plan_caches(self) -> None:
         # id()-keyed caches pin their keyed objects inside the value; the
         # LRU evicts cold entries (dropping the pin), so id reuse after
         # eviction misses and recomputes instead of returning stale plans.
@@ -171,6 +184,32 @@ class Executor:
         self._scan_plans = LruCache(_PLAN_CACHE_LIMIT)
         self._qualified_keys = LruCache(_PLAN_CACHE_LIMIT)
         self._select_plans = LruCache(_PLAN_CACHE_LIMIT)
+
+    def fork(self, tables: Dict[str, Table]) -> "Executor":
+        """An executor over ``tables`` carrying this one's counters.
+
+        The plan caches start empty: they memoize stats-independent
+        structure (see :meth:`_analyze_scan`), so an empty cache only
+        recomputes what a warm one would have returned.
+        """
+        clone = Executor(tables)
+        for counter in self.COUNTERS:
+            setattr(clone, counter, getattr(self, counter))
+        clone.force_full_scans = self.force_full_scans
+        return clone
+
+    # Plan caches hold compiled closures, which do not pickle; they are
+    # dropped and start empty on the other side, as in :meth:`fork`.
+    def __getstate__(self):
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if not isinstance(value, LruCache)
+        }
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._new_plan_caches()
 
     def _table(self, name: str) -> Table:
         try:

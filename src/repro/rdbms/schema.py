@@ -79,7 +79,11 @@ class TableSchema:
             if fk.column not in self.column_map:
                 raise SchemaError(f"foreign key column {fk.column!r} missing in {name!r}")
         self.foreign_keys: List[ForeignKey] = list(foreign_keys)
-        self._estimated_row_size: Any = None  # computed lazily
+        # Computed up front, so a schema never changes once built (tables
+        # forked from one database share it).
+        self._estimated_row_size = sum(
+            _NOMINAL_TYPE_SIZES.get(column.type.name, 16) + 2 for column in self.columns
+        )
 
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]
@@ -113,11 +117,6 @@ class TableSchema:
         estimates with this; it uses fixed per-type sizes (TEXT columns
         are assumed ~40 bytes) so estimates never require touching rows.
         """
-        if self._estimated_row_size is None:
-            size = 0
-            for column in self.columns:
-                size += _NOMINAL_TYPE_SIZES.get(column.type.name, 16) + 2
-            self._estimated_row_size = size
         return self._estimated_row_size
 
     def row_size(self, row: Dict[str, Any]) -> int:

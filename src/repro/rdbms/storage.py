@@ -64,6 +64,22 @@ class Table:
             self._ordered[column] = BPlusTree()
             self._casefolded[column] = schema.column(column).type == TEXT
 
+    def fork(self) -> "Table":
+        """An independent copy: rows, hash buckets and ordered indexes.
+
+        The schema is shared (it is never mutated); every row dict, index
+        bucket and tree node is copied, so mutating either table leaves
+        the other untouched.
+        """
+        clone = Table(self.schema)
+        clone._rows = {key: dict(row) for key, row in self._rows.items()}
+        clone._indexes = {
+            column: {value: set(keys) for value, keys in index.items()}
+            for column, index in self._indexes.items()
+        }
+        clone._ordered = {column: tree.copy() for column, tree in self._ordered.items()}
+        return clone
+
     # -- inspection -----------------------------------------------------------
     def __len__(self) -> int:
         return len(self._rows)
