@@ -40,8 +40,8 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 from repro.core.patterns import PAPER_LEVELS, PatternLevel
 from repro.experiments.calibration import default_workload
 from repro.experiments.figures import build_figure, render_figure
-from repro.experiments.parallel import run_cells
 from repro.experiments.progress import ProgressReporter
+from repro.experiments.runner import run_cells
 from repro.experiments.tables import build_table, render_table
 
 APPS = ("petstore", "rubis")

@@ -41,8 +41,8 @@ from repro.apps import rubis
 from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel
 from repro.experiments.calibration import default_workload
-from repro.experiments.parallel import run_cells
 from repro.experiments.progress import ProgressReporter
+from repro.experiments.runner import run_cells
 from repro.middleware.context import InvocationContext, RequestInfo
 from repro.simnet.kernel import Environment
 from repro.simnet.rng import Streams

@@ -28,8 +28,9 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.core.patterns import PAPER_LEVELS, PatternLevel
 from repro.experiments.calibration import default_workload
-from repro.experiments.parallel import default_jobs, run_cells
+from repro.experiments.parallel import default_jobs
 from repro.experiments.progress import ProgressReporter
+from repro.experiments.runner import run_cells
 from repro.experiments.tables import build_table, render_table
 
 

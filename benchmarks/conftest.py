@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 from repro.experiments.calibration import default_workload
+from repro.experiments.parallel import default_jobs
 from repro.experiments.runner import run_series
 
 # Scaled-down run: the paper measured ~1 hour; 150 simulated seconds with
@@ -30,7 +31,7 @@ BENCH_WARMUP_MS = 40_000.0
 # Worker processes per series sweep.  The default (1) runs serially; set
 # REPRO_BENCH_JOBS=0 for one worker per CPU or N for exactly N workers.
 # Results are byte-identical either way — only the wall clock changes.
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1")) or None
+BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1")) or default_jobs()
 
 _series_cache = {}
 

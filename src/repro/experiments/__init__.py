@@ -2,19 +2,15 @@
 
 from . import calibration
 from .figures import FigureData, build_figure, figure_to_csv, render_figure
-from .parallel import (
-    CellResult,
-    CellTask,
-    default_jobs,
-    run_cells,
-    run_series_parallel,
-)
+from .parallel import default_jobs
 from .progress import ProgressReporter
 from .runner import (
     APPS,
     AppSpec,
     DataTemplate,
     ExperimentResult,
+    RunSpec,
+    run_cells,
     run_configuration,
     run_series,
 )
@@ -30,13 +26,11 @@ __all__ = [
     "AppSpec",
     "DataTemplate",
     "ExperimentResult",
+    "RunSpec",
+    "run_cells",
     "run_configuration",
     "run_series",
-    "CellResult",
-    "CellTask",
     "default_jobs",
-    "run_cells",
-    "run_series_parallel",
     "ProgressReporter",
     "ResponseTimeTable",
     "TableCell",

@@ -71,9 +71,9 @@ from ..simnet.topology import TestbedConfig, TopologyOverrides
 from ..workload.openloop import ARRIVALS, SCENARIOS as OPENLOOP_SCENARIOS, OpenLoopConfig
 from .calibration import SIM_DURATION_MS, SIM_WARMUP_MS, default_workload
 from .figures import build_figure, figure_to_csv, render_figure
-from .parallel import default_jobs, run_cells
+from .parallel import default_jobs
 from .progress import ProgressReporter
-from .runner import run_series
+from .runner import run_cells
 from .tables import build_table, render_table, table_to_csv
 
 TARGETS = {
@@ -89,10 +89,8 @@ PLAN_TARGET = "plan"
 def _export_observability(args, series_cache, apps_needed, levels) -> None:
     """Write --trace-out / --metrics-out artifacts and stderr digests.
 
-    Works over both serial ``ExperimentResult`` and parallel
-    ``CellResult`` objects (both expose ``spans_state``/``metrics_state``
-    snapshots); cells are labelled ``app/L<level>`` in sorted order so
-    the files are byte-identical for any ``--jobs`` value.
+    Cells are labelled ``app/L<level>`` in sorted order so the files are
+    byte-identical for any ``--jobs`` value.
     """
     from ..obs.export import export_chrome_trace, export_metrics
 
@@ -109,12 +107,11 @@ def _export_observability(args, series_cache, apps_needed, levels) -> None:
         ]
         export_chrome_trace(cells, args.trace_out)
         for label, result in labelled:
-            summary = getattr(result, "trace_summary", None)
-            if summary is None:
-                trace = getattr(result, "trace", None)
-                summary = trace.summary() if trace is not None else None
-            if summary is not None:
-                print(f"[trace] {label}: {summary.render()}", file=sys.stderr)
+            if result.trace_summary is not None:
+                print(
+                    f"[trace] {label}: {result.trace_summary.render()}",
+                    file=sys.stderr,
+                )
         print(f"[trace] wrote {args.trace_out}", file=sys.stderr)
     if args.metrics_out is not None:
         cells = [
@@ -488,11 +485,6 @@ def main(argv=None) -> int:
     if args.target == PLAN_TARGET:
         return _run_plan(args, policy, topology)
     jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
-    if args.profile and jobs != 1:
-        from .profile import warn_forced_serial
-
-        warn_forced_serial(jobs, sys.stderr)
-        jobs = 1
     with_flame = args.flame_out is not None or args.flame_html is not None
     with_spans = args.trace_out is not None or with_flame
     # Span recording implies flat-trace recording too, so the stderr
@@ -624,49 +616,29 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
     progress = ProgressReporter(len(cells), label="cells")
-    if jobs == 1:
-        series_cache = {
-            app: run_series(
-                app,
-                workload=workload,
-                seed=args.seed,
-                with_trace=with_trace,
-                with_spans=with_spans,
-                with_metrics=with_metrics,
-                progress=progress,
-                profile=args.profile,
-                faults=faults,
-                policy=policy,
-                topology=topology,
-                openloop=openloop,
-                obs_interval_ms=obs_interval_ms,
-                obs_sample=args.obs_sample,
-            )
-            for app in apps_needed
-        }
-    else:
-        # One shared pool over every app's cells: a ten-cell `all` sweep
-        # keeps all workers busy instead of draining one app at a time.
-        results = run_cells(
-            cells,
-            workload=workload,
-            seed=args.seed,
-            with_trace=with_trace,
-            with_spans=with_spans,
-            with_metrics=with_metrics,
-            jobs=jobs,
-            progress=progress,
-            faults=faults,
-            policy=policy,
-            topology=topology,
-            openloop=openloop,
-            obs_interval_ms=obs_interval_ms,
-            obs_sample=args.obs_sample,
-        )
-        series_cache = {
-            app: {level: results[(app, level)] for level in levels}
-            for app in apps_needed
-        }
+    # One run over every app's cells: a ten-cell `all` sweep keeps all
+    # workers busy instead of draining one app at a time.
+    results = run_cells(
+        cells,
+        jobs=jobs,
+        progress=progress,
+        profile=args.profile,
+        workload=workload,
+        seed=args.seed,
+        with_trace=with_trace,
+        with_spans=with_spans,
+        with_metrics=with_metrics,
+        faults=faults,
+        policy=policy,
+        topology=topology,
+        openloop=openloop,
+        obs_interval_ms=obs_interval_ms,
+        obs_sample=args.obs_sample,
+    )
+    series_cache = {
+        app: {level: results[(app, level)] for level in levels}
+        for app in apps_needed
+    }
 
     if with_spans or with_metrics or with_series:
         _export_observability(args, series_cache, apps_needed, levels)

@@ -9,11 +9,12 @@ Two layers:
   how the hot-path work in this repository was targeted: the question is
   rarely "which function" but "which layer pays for a request".
 
-The experiment runner exposes this through ``run_series(profile=True)``
-and ``python -m repro.experiments <target> --profile``, which dump the
-top cumulative entries and the attribution for every cell to stderr.
-Profiling is serial-only: a cProfile object cannot follow work into
-worker processes, so ``--profile`` forces ``--jobs 1``.
+The experiment runner exposes this through ``run_cells(profile=True)``
+(and so ``run_series(profile=True)``) and ``python -m repro.experiments
+<target> --profile``, which dump the top cumulative entries and the
+attribution for every cell to stderr.  Profiling is serial-only: a
+cProfile object cannot follow work into worker processes, so
+``run_cells`` forces ``jobs=1``.
 
 Note that cProfile adds substantial constant overhead per function call
 (2x+ wall clock on this workload), which *exaggerates* the cost of
@@ -42,11 +43,7 @@ _REPRO_MARKER = "/repro/"
 
 
 def warn_forced_serial(requested_jobs: Any, stream: TextIO) -> None:
-    """Explain on ``stream`` why profiling downgraded ``jobs`` to 1.
-
-    Shared by the CLI and :func:`~repro.experiments.runner.run_series` so
-    the message is identical wherever the downgrade happens.
-    """
+    """Explain on ``stream`` why profiling downgraded ``jobs`` to 1."""
     print(
         f"[profile] cProfile cannot follow worker processes; "
         f"forcing jobs=1 (requested {requested_jobs})",

@@ -1,8 +1,8 @@
 """The per-configuration availability/degradation report.
 
 ``collect_resilience`` condenses one finished run into a canonical plain
-dict (picklable, sorted keys) carried on ``ExperimentResult`` /
-``CellResult`` next to the monitor state; ``build_availability_table`` /
+dict (picklable, sorted keys) carried on ``ExperimentResult`` next to
+the monitor state; ``build_availability_table`` /
 ``render_availability_table`` turn a five-configuration series of those
 dicts into the availability table printed alongside Tables 6–7 when a
 fault scenario is active.
@@ -103,11 +103,10 @@ def build_availability_table(app: str, series: Dict, scenario: str = "") -> Avai
         result = series[level]
         resilience = result.resilience or {}
         rows.append((PatternLevel(level), resilience))
-        label = getattr(result, "label", None)
-        if label:
-            labels[PatternLevel(level)] = label
+        if result.label:
+            labels[PatternLevel(level)] = result.label
         if topology is None:
-            topology = getattr(result, "topology", None)
+            topology = result.topology
     return AvailabilityTable(
         app=app, scenario=scenario, rows=tuple(rows), labels=labels, topology=topology
     )

@@ -112,6 +112,7 @@ class LoadGenerator:
                                 0, self.config.think_time_ms
                             ),
                             end_time=end_time,
+                            client_id=len(self.clients) + 1,
                         )
                     )
         return self.clients

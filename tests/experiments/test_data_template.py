@@ -17,8 +17,13 @@ import pytest
 from repro.core.distribution import distribute
 from repro.core.patterns import PatternLevel
 from repro.core.policy import load_policy
-from repro.experiments.parallel import run_cells
-from repro.experiments.runner import APPS, DataTemplate, run_configuration, run_series
+from repro.experiments.runner import (
+    APPS,
+    DataTemplate,
+    run_cells,
+    run_configuration,
+    run_series,
+)
 from repro.faults.scenarios import edge_partition
 from repro.simnet.kernel import Environment
 from repro.simnet.rng import Streams

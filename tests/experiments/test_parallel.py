@@ -14,15 +14,15 @@ import pytest
 from repro.core.patterns import PatternLevel
 from repro.experiments import calibration
 from repro.experiments.figures import build_figure, figure_to_csv, render_figure
-from repro.experiments.parallel import (
-    CellResult,
-    CellTask,
-    default_jobs,
-    run_cells,
-    run_series_parallel,
-)
+from repro.experiments.parallel import default_jobs
 from repro.experiments.progress import ProgressReporter
-from repro.experiments.runner import run_series
+from repro.experiments.runner import (
+    ExperimentResult,
+    RunSpec,
+    run_cells,
+    run_configuration,
+    run_series,
+)
 from repro.experiments.tables import build_table, render_table, table_to_csv
 
 FAST = calibration.default_workload(duration_ms=20_000.0, warmup_ms=5_000.0)
@@ -47,7 +47,7 @@ def parallel_series():
 def test_parallel_series_returns_cell_results(parallel_series):
     assert set(parallel_series) == set(LEVELS)
     for level, result in parallel_series.items():
-        assert isinstance(result, CellResult)
+        assert isinstance(result, ExperimentResult)
         assert result.app == "rubis"
         assert result.level == level
         assert result.wall_seconds > 0
@@ -85,7 +85,7 @@ def test_result_order_is_canonical_regardless_of_completion(parallel_series):
 
 
 # ---------------------------------------------------------------------------
-# CellResult: picklable, reporting-compatible with ExperimentResult
+# Pickled results: no live handles, the same reporting surface
 # ---------------------------------------------------------------------------
 
 
@@ -111,10 +111,61 @@ def test_cell_result_matches_experiment_result_surface(
             assert parallel.mean(group, page) == serial.mean(group, page)
 
 
+def test_pickled_result_drops_live_handles_and_keeps_every_snapshot():
+    result = run_configuration(
+        "rubis",
+        PatternLevel.REMOTE_FACADE,
+        workload=FAST,
+        seed=21,
+        with_trace=True,
+        with_spans=True,
+        with_metrics=True,
+        obs_interval_ms=1000.0,
+        obs_sample=0.5,
+    )
+    copy = pickle.loads(pickle.dumps(result))
+    assert result.system is not None
+    assert copy.system is None
+    assert copy.generator is None
+    assert copy.trace is None
+    assert copy.monitor.table() == result.monitor.table()
+    assert copy.spans_state == result.spans_state
+    assert copy.metrics_state == result.metrics_state
+    assert copy.series_state == result.series_state
+    assert copy.trace_summary == result.trace_summary
+    assert copy.total_requests == result.total_requests
+    assert result.total_requests == result.generator.total_requests() > 0
+
+
+def test_sampled_spans_do_not_depend_on_earlier_cells():
+    """Client ids restart per population, so span sampling does too."""
+    knobs = dict(workload=FAST, seed=5, with_spans=True, obs_sample=0.5)
+    first = run_configuration("petstore", PatternLevel.CENTRALIZED, **knobs)
+    second = run_configuration("petstore", PatternLevel.CENTRALIZED, **knobs)
+    assert first.spans_state == second.spans_state
+
+
+def test_sampled_spans_identical_for_any_worker_count():
+    cells = [
+        ("petstore", PatternLevel.CENTRALIZED),
+        ("petstore", PatternLevel.REMOTE_FACADE),
+    ]
+    knobs = dict(workload=FAST, seed=5, with_spans=True, obs_sample=0.5)
+    serial = run_cells(cells, jobs=1, **knobs)
+    pooled = run_cells(cells, jobs=2, **knobs)
+    for cell in cells:
+        assert serial[cell].spans_state == pooled[cell].spans_state
+
+
 def test_cell_task_is_picklable():
-    task = CellTask("rubis", int(PatternLevel.CENTRALIZED), FAST, 21)
-    copy = pickle.loads(pickle.dumps(task))
-    assert copy == task
+    spec = RunSpec(workload=FAST, seed=21)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec
+
+
+def test_run_spec_rejects_unknown_knobs():
+    with pytest.raises(TypeError):
+        run_cells([("rubis", PatternLevel.CENTRALIZED)], workload=FAST, sede=21)
 
 
 def test_run_cells_rejects_duplicate_cells():
@@ -182,7 +233,7 @@ def test_run_series_reports_progress_in_both_modes():
     for jobs in (1, 2):
         stream = io.StringIO()
         progress = ProgressReporter(len(LEVELS), stream=stream)
-        run_series_parallel(
+        run_series(
             "rubis",
             levels=LEVELS,
             workload=FAST,

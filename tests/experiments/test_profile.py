@@ -88,10 +88,11 @@ def test_run_series_profile_forces_serial_with_warning(capsys):
     captured = capsys.readouterr()
     assert "forcing jobs=1" in captured.err
     assert "requested 2" in captured.err
-    # Serial path returns live ExperimentResult objects, not CellResult.
+    # The in-process path returns live results.
     from repro.experiments.runner import ExperimentResult
 
     assert isinstance(results[PatternLevel.CENTRALIZED], ExperimentResult)
+    assert results[PatternLevel.CENTRALIZED].system is not None
 
 
 def test_warn_forced_serial_message():

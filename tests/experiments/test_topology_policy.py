@@ -16,8 +16,7 @@ from repro.core.patterns import PatternLevel
 from repro.core.policy import load_policy
 from repro.experiments import calibration
 from repro.experiments.__main__ import main
-from repro.experiments.parallel import CellTask, run_cells
-from repro.experiments.runner import run_configuration, run_series
+from repro.experiments.runner import RunSpec, run_cells, run_configuration, run_series
 from repro.experiments.tables import build_table, render_table, table_to_csv
 from repro.faults import scenarios
 from repro.faults.report import (
@@ -141,16 +140,14 @@ def test_policy_label_and_topology_reach_availability_artifact(policy_serial):
 
 
 def test_cell_task_pickles_with_policy_and_topology(custom_policy):
-    task = CellTask(
-        "petstore",
-        int(custom_policy.effective_level()),
-        FAST,
-        21,
+    spec = RunSpec(
+        workload=FAST,
+        seed=21,
         policy=custom_policy,
         topology=TopologyOverrides(edges=3, wan_latency=80.0),
     )
-    copy = pickle.loads(pickle.dumps(task))
-    assert copy == task
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec
     assert copy.policy.to_json() == custom_policy.to_json()
     assert copy.topology.edges == 3
 

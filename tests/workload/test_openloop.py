@@ -232,12 +232,12 @@ def test_flash_crowd_concentrates_arrivals():
 
 def test_openloop_cell_is_picklable_and_parallel_consistent():
     """jobs=1 vs jobs=2 produce identical serialized cell results."""
-    from repro.experiments.parallel import run_cells
+    from repro.experiments.runner import run_cells
 
     config = _small_config()
     serial = run_cells([("rubis", 5)], jobs=1, openloop=config, seed=2003)
     parallel = run_cells([("rubis", 5)], jobs=2, openloop=config, seed=2003)
     key = ("rubis", 5)
-    assert serial[key].monitor_state == parallel[key].monitor_state
+    assert serial[key].monitor.to_state() == parallel[key].monitor.to_state()
     assert serial[key].total_requests == parallel[key].total_requests
     assert serial[key].resilience == parallel[key].resilience
